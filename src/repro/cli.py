@@ -592,12 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel",
-        choices=["auto", "python", "levelized", "jit"],
+        choices=["auto", "python", "levelized"],
         default="auto",
         help="execution body: python forces the reference path, "
         "levelized the static-schedule fused body (sequential engine) "
-        "or the fused levelized chunk kernel (batch engine), "
-        "jit the generated-C batch kernel (batch engine); auto picks "
+        "or the fused levelized chunk kernel (batch engine); auto picks "
         "the best available tier",
     )
     p.add_argument(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Protocol, Tuple
+from typing import Callable, Dict, List, Protocol, Sequence, Tuple
 
 from repro.noc.config import NetworkConfig
 from repro.noc.network import EjectionRecord, InjectionRecord
@@ -18,8 +18,8 @@ class Engine(Protocol):
 
     cfg: NetworkConfig
     cycle: int
-    injections: List[InjectionRecord]
-    ejections: List[EjectionRecord]
+    injections: Sequence[InjectionRecord]  # a list or an EventLog
+    ejections: Sequence[EjectionRecord]
 
     def offer(self, router: int, vc: int, flit) -> bool: ...
 
@@ -111,13 +111,13 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
 
     ``kernel`` selects the execution body where the engine has more than
     one (``repro simulate --kernel``): ``auto`` (default) lets each
-    engine pick its best available tier, ``python`` forces the reference
-    interpreter/NumPy path, ``levelized`` swaps the sequential engine
-    for its static-levelized compiled variant (on the batch engine it
-    selects the fused levelized chunk kernel), and ``jit`` requires the
-    generated-C batch kernel (raising
-    :class:`~repro.kernels.KernelUnavailableError` when no JIT tier can
-    run).
+    engine pick its best available tier (the fused levelized chunk
+    kernel on the batch engine, whenever the generated-C tier runs),
+    ``python`` forces the reference interpreter/NumPy path, and
+    ``levelized`` swaps the sequential engine for its static-levelized
+    compiled variant (on the batch engine it requires the fused kernel,
+    raising :class:`~repro.kernels.KernelUnavailableError` when no C
+    tier can run).
     """
     registry = _registry()
     if name not in registry:
@@ -125,9 +125,9 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
     kernel = kwargs.pop("kernel", "auto")
     factory = registry[name].factory
     if name == "batch":
-        if kernel not in ("auto", "python", "levelized", "jit"):
+        if kernel not in ("auto", "python", "levelized"):
             raise ValueError(
-                "engine 'batch' supports kernel auto|python|levelized|jit "
+                "engine 'batch' supports kernel auto|python|levelized "
                 f"(got {kernel!r})"
             )
         kwargs["kernel"] = kernel

@@ -38,7 +38,12 @@ sequential engine's delta iteration provably reproduces):
 Traffic enters per lane through :meth:`BatchEngine.lane` views (each a
 drop-in ``offer``/log surface for one lane); :func:`run_batched` pumps
 one :class:`~repro.traffic.stimuli.TrafficDriver` per lane against a
-single batched step loop.
+single batched step loop.  Each lane logs its events into int64 columns
+(:class:`~repro.noc.eventlog.EventLog`), whichever body ran the cycle.
+
+These NumPy sweeps are the reference body.  When the generated-C tier
+is available the engine runs the fused levelized chunk kernel
+(:mod:`repro.kernels.batchlevel`) instead, bit-identical lane for lane.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import numpy as np
 
 from repro.noc.config import NetworkConfig, Port
 from repro.noc.deadlock import packed_policy
+from repro.noc.eventlog import EventLog
 from repro.noc.flit import FlitType
 from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.noc.router import ProtocolError
@@ -103,11 +109,11 @@ class BatchLane:
         return self.engine.cycle
 
     @property
-    def injections(self) -> List[InjectionRecord]:
+    def injections(self) -> EventLog:
         return self.engine.lane_injections(self.lane)
 
     @property
-    def ejections(self) -> List[EjectionRecord]:
+    def ejections(self) -> EventLog:
         return self.engine.lane_ejections(self.lane)
 
     def offer(self, router: int, vc: int, flit) -> bool:
@@ -138,7 +144,7 @@ class _LaneWindow:
     Every attribute is a NumPy view over ``state`` (lane-major, so the
     slices stay C-contiguous); in-place writes land in the full state.
     The NumPy sweeps run unchanged against a window — this is how a
-    faulted lane range falls back to the dynamic sweep while the clean
+    faulted lane range falls back to the NumPy sweeps while the clean
     lanes stay on the compiled levelized kernel within the same cycle.
     """
 
@@ -200,8 +206,8 @@ class BatchEngine:
         self.metrics = DeltaMetrics(n_units=cfg.n_routers)
         self.pre_step_hooks: List = []
         self.quarantined_links: set = set()
-        self._injections: List[List[InjectionRecord]] = [[] for _ in range(lanes)]
-        self._ejections: List[List[EjectionRecord]] = [[] for _ in range(lanes)]
+        self._injections = [EventLog(InjectionRecord) for _ in range(lanes)]
+        self._ejections = [EventLog(EjectionRecord) for _ in range(lanes)]
 
         # -- static gather tables ------------------------------------------
         n = cfg.n_routers
@@ -261,80 +267,52 @@ class BatchEngine:
         self._neg1_br = np.full((B, n), -1, dtype=np.int64)
 
         # -- kernel selection (the repro.kernels backend ladder) -----------
-        #: execution body actually in use: "jit" (generated C, dynamic
-        #: sweep), "levelized" (generated C over the static level
-        #: schedule) or "python" (the NumPy sweeps); benches report this.
+        #: execution body actually in use: "levelized" (the generated-C
+        #: fused chunk kernel) or "python" (the NumPy sweeps); benches
+        #: report this.
         self.kernel = "python"
-        #: why the requested tier was declined, when it was.
+        #: why the engine runs the NumPy sweeps, when it was not asked to.
         self.kernel_reason: Optional[str] = None
         self._compiled = None
-        #: static level schedule, when the levelized kernel carries one.
-        self.schedule = None
-        #: lanes pinned to the dynamic NumPy sweep (resident faults whose
+        #: lanes pinned to the NumPy sweep (resident faults whose
         #: diagnosis must not ride the statically scheduled fast path).
         self.lane_faults: set = set()
-        if kernel not in ("auto", "python", "levelized", "jit"):
+        if kernel not in ("auto", "python", "levelized"):
             raise ValueError(
-                f"unknown kernel {kernel!r}; known: auto|python|levelized|jit"
+                f"unknown kernel {kernel!r}; known: auto|python|levelized"
             )
-        if kernel == "levelized":
-            self._init_levelized()
-        elif kernel != "python":
-            from repro.kernels import KernelUnavailableError, select_backend
+        if kernel != "python":
+            self._init_levelized(required=kernel == "levelized")
 
-            try:
-                backend = select_backend("jit" if kernel == "jit" else None)
-                if backend == "cffi":
-                    from repro.kernels.batchstep import CompiledBatchStep
+    def _init_levelized(self, required: bool) -> None:
+        """Bind the fused levelized chunk kernel when the C tier runs.
 
-                    self._compiled = CompiledBatchStep(self)
-                    self.kernel = "jit"
-                else:
-                    self.kernel_reason = "backend ladder selected numpy"
-            except KernelUnavailableError as exc:
-                if kernel == "jit":
-                    raise
-                self.kernel_reason = str(exc)
-
-    def _init_levelized(self) -> None:
-        """Bind the levelized lane kernel (``kernel="levelized"``).
-
-        Requires a static level schedule (a combinational cycle falls
-        back to the dynamic-sweep tiers, per-batch) and the generated-C
-        tier (``REPRO_KERNELS=numpy`` keeps the engine on the NumPy
-        sweeps — which evaluate the same three levels in the same order,
-        so the fallback is the bit-identical reference).
+        ``REPRO_KERNELS=numpy``, or (unless ``required``) a missing C
+        tier, keeps the engine on the NumPy sweeps with the reason in
+        :attr:`kernel_reason`; those sweeps evaluate the same three
+        levels in the same order, so they are the bit-identical
+        reference.  A ``required`` kernel that cannot be built raises
+        :class:`~repro.kernels.KernelUnavailableError`.
         """
-        from repro.kernels import resolve_kernels_mode, select_backend
-        from repro.kernels.batchlevel import CompiledBatchLevel, level_orders
-        from repro.kernels.levelize import CyclicDependencyError, levelize
+        from repro.kernels import (
+            KernelUnavailableError,
+            resolve_kernels_mode,
+            select_backend,
+        )
 
-        try:
-            schedule = levelize(self.cfg)
-        except CyclicDependencyError as exc:
-            schedule = None
-            reason = f"no static schedule ({exc})"
-        else:
-            if level_orders(schedule) is None:
-                reason = "schedule is not the 3-level room/fwd/state shape"
-                schedule = None
-        if schedule is None:
-            # No static schedule: the whole batch runs the dynamic sweep
-            # (C tier when available, NumPy otherwise).
-            self.kernel_reason = reason + "; dynamic sweep"
-            if select_backend(None) == "cffi":
-                from repro.kernels.batchstep import CompiledBatchStep
-
-                self._compiled = CompiledBatchStep(self)
-                self.kernel = "jit"
-            return
-        self.schedule = schedule
         if resolve_kernels_mode(None) == "numpy":
-            self.kernel = "levelized"
             self.kernel_reason = "backend ladder selected numpy"
             return
-        select_backend("jit")  # raises KernelUnavailableError with reason
-        self._compiled = CompiledBatchLevel(self, schedule)
+        try:
+            select_backend("jit")
+            from repro.kernels.batchlevel import CompiledBatchLevel
+
+            self._compiled = CompiledBatchLevel(self)
+        except KernelUnavailableError as exc:
+            if required:
+                raise
+            self.kernel_reason = str(exc)
+            return
         self.kernel = "levelized"
 
     # -- traffic-side API ---------------------------------------------------
@@ -362,18 +340,34 @@ class BatchEngine:
 
     # -- logs / inspection ---------------------------------------------------
     @property
-    def injections(self) -> List[InjectionRecord]:
+    def injections(self) -> EventLog:
         return self._injections[0]
 
     @property
-    def ejections(self) -> List[EjectionRecord]:
+    def ejections(self) -> EventLog:
         return self._ejections[0]
 
-    def lane_injections(self, lane: int) -> List[InjectionRecord]:
+    def lane_injections(self, lane: int) -> EventLog:
         return self._injections[lane]
 
-    def lane_ejections(self, lane: int) -> List[EjectionRecord]:
+    def lane_ejections(self, lane: int) -> EventLog:
         return self._ejections[lane]
+
+    def _log(self, logs: List[EventLog], lanes: np.ndarray, block: np.ndarray) -> None:
+        """Append event columns to per-lane logs.
+
+        ``block[:, k]`` is one event of lane ``lanes[k]``; each lane's
+        events keep their order in ``block``.
+        """
+        if not lanes.size:
+            return
+        if lanes.size > 1 and (lanes[1:] < lanes[:-1]).any():
+            order = np.argsort(lanes, kind="stable")
+            lanes, block = lanes[order], block[:, order]
+        counts = np.bincount(lanes, minlength=self.lanes)
+        ends = np.cumsum(counts).tolist()
+        for lane in np.flatnonzero(counts).tolist():
+            logs[lane].append_columns(block[:, ends[lane] - int(counts[lane]) : ends[lane]])
 
     def snapshot(self) -> Tuple:
         return self.state.snapshot_lane(0)
@@ -398,13 +392,13 @@ class BatchEngine:
         self._route = self.routing.packed()
 
     def mark_lane_fault(self, lane: int) -> None:
-        """Pin ``lane`` to the dynamic NumPy sweep.
+        """Pin ``lane`` to the NumPy sweeps.
 
         Used when a lane carries a resident fault (injected state
         corruption, a diagnosis experiment): its cycles run the
-        reference dynamic path while clean lanes stay on the compiled
-        levelized kernel — both see the identical architectural
-        semantics, so marking a clean lane is always safe.
+        reference path while clean lanes stay on the compiled levelized
+        kernel — both see the identical architectural semantics, so
+        marking a clean lane is always safe.
         """
         if not 0 <= lane < self.lanes:
             raise IndexError(f"lane {lane} out of range (lanes={self.lanes})")
@@ -456,18 +450,14 @@ class BatchEngine:
         if compiled is not None:
             if not self.lane_faults:
                 compiled.step()
-            elif hasattr(compiled, "step_range"):
+            else:
                 # Per-lane fallback: clean runs ride the compiled
-                # levelized kernel, faulted runs the dynamic sweep.
+                # kernel, faulted runs the NumPy sweeps.
                 for lo, hi, faulted in self._lane_runs():
                     if faulted:
                         self._step_numpy(lo, hi)
                     else:
                         compiled.step_range(lo, hi)
-            else:
-                # The dynamic-sweep C kernel has no lane-range entry:
-                # run the whole batch on the reference path.
-                self._step_numpy(0, self.lanes)
         else:
             self._step_numpy(0, self.lanes)
         self.metrics.record_cycle(self.SWEEPS_PER_CYCLE * self.cfg.n_routers)
@@ -757,14 +747,21 @@ class BatchEngine:
             sent = pending & (self._vcs[None, None, :] == choice[:, :, None])
             sent_flat = np.flatnonzero(sent)
             if sent_flat.size:
-                words = S.inj_word.reshape(-1)[sent_flat].tolist()
-                delays = S.delay.reshape(-1)[sent_flat].tolist()
-                for i, flat in enumerate(sent_flat.tolist()):
-                    b, rv = divmod(flat, R * V)
-                    r, vc = divmod(rv, V)
-                    self._injections[lo + b].append(
-                        InjectionRecord(cycle, r, vc, words[i], delays[i])
-                    )
+                b, rv = np.divmod(sent_flat, R * V)
+                r, vc = np.divmod(rv, V)
+                self._log(
+                    self._injections,
+                    lo + b,
+                    np.stack(
+                        (
+                            np.full(sent_flat.size, cycle, dtype=np.int64),
+                            r,
+                            vc,
+                            S.inj_word.reshape(-1)[sent_flat],
+                            S.delay.reshape(-1)[sent_flat],
+                        )
+                    ),
+                )
             S.delay[...] = np.where(
                 sent,
                 0,
@@ -774,15 +771,21 @@ class BatchEngine:
             S.rr_ptr[...] = np.where(choice >= 0, choice, S.rr_ptr)
         ejected = ((eject_in >> dw) & 3) != 0
         if ejected.any():
-            eject_mask = (1 << vc_shift) - 1
             ej_flat = np.flatnonzero(ejected)
-            words = eject_in.reshape(-1)[ej_flat].tolist()
-            for i, flat in enumerate(ej_flat.tolist()):
-                b, r = divmod(flat, R)
-                word = words[i]
-                self._ejections[lo + b].append(
-                    EjectionRecord(cycle, r, word >> vc_shift, word & eject_mask)
-                )
+            words = eject_in.reshape(-1)[ej_flat]
+            b, r = np.divmod(ej_flat, R)
+            self._log(
+                self._ejections,
+                lo + b,
+                np.stack(
+                    (
+                        np.full(ej_flat.size, cycle, dtype=np.int64),
+                        r,
+                        words >> vc_shift,
+                        words & ((1 << vc_shift) - 1),
+                    )
+                ),
+            )
             S.eject_word[...] = np.where(ejected, eject_in, S.eject_word)
             S.eject_valid[...] = ejected
         elif S.eject_valid.any():
@@ -950,18 +953,21 @@ def run_batched(
     what ``TrafficDriver.step`` does per lane — generate, pump, step —
     except the step advances all lanes at once.
 
-    When the engine runs the jit or levelized tier, every driver is a
-    plain Bernoulli-BE/uniform-random stream, and the generated-C tier
-    is available, the per-lane generate calls are replaced by one C scan
-    per cycle (:func:`repro.kernels.trafficgen.batched_be_generator`) —
-    a pure reordering of independent per-lane work, bit-identical per
-    lane.  A ``kernel="python"`` engine keeps the all-Python reference
-    path end to end.
+    On the compiled levelized kernel, when every driver is a plain
+    Bernoulli-BE/uniform-random stream, the per-lane generate calls are
+    replaced by one C scan per cycle
+    (:func:`repro.kernels.trafficgen.batched_be_generator`) — a pure
+    reordering of independent per-lane work, bit-identical per lane.
+    The kernel also runs whole :data:`_CHUNK`-cycle windows inside one
+    fused C call (generation stays in Python, staged ahead with
+    timestamps; the pump moves into the kernel) whenever the driver set
+    passes :func:`_chunk_eligible`.  A ``kernel="python"`` engine keeps
+    the all-Python reference path end to end.
 
-    A levelized engine additionally runs whole :data:`_CHUNK`-cycle
-    windows inside one fused C call (generation stays in Python, staged
-    ahead with timestamps; the pump moves into the kernel) whenever the
-    driver set passes :func:`_chunk_eligible`.
+    A run that ends in :class:`~repro.traffic.stimuli.NetworkOverloadError`
+    leaves every driver exactly where the reference loop stops: lanes up
+    to the failing one have generated the failing cycle, later lanes
+    have not.
 
     ``fast_forward`` enables quiescence skipping: before generating each
     cycle the run checks :func:`_try_fast_forward`, and when the fabric,
@@ -970,24 +976,18 @@ def run_batched(
     sweeping.  Fast-forward never fires while any fault is resident.
     """
     from repro.kernels.trafficgen import batched_be_generator
+    from repro.traffic.stimuli import NetworkOverloadError
 
-    generator = (
-        batched_be_generator(drivers)
-        if getattr(engine, "kernel", None) in ("jit", "levelized")
-        else None
-    )
-    end = engine.cycle + cycles
     compiled = getattr(engine, "_compiled", None)
-    if (
-        compiled is not None
-        and hasattr(compiled, "run_chunk")
-        and _chunk_eligible(engine, drivers)
-    ):
+    generator = batched_be_generator(drivers) if compiled is not None else None
+    end = engine.cycle + cycles
+    if compiled is not None and _chunk_eligible(engine, drivers):
         while engine.cycle < end:
             if fast_forward and _try_fast_forward(engine, drivers, end - engine.cycle):
                 continue
             k = min(_CHUNK, end - engine.cycle)
             start = engine.cycle
+            marks = [driver.mark() for driver in drivers]
             if generator is not None:
                 window = generator.generate_window(start, start + k)
             else:
@@ -995,15 +995,25 @@ def run_batched(
                 for driver in drivers:
                     for c in range(start, start + k):
                         driver.generate(c)
-            compiled.run_chunk(drivers, k, window)
+            try:
+                compiled.run_chunk(drivers, k, window)
+            except NetworkOverloadError as exc:
+                _rewind_overloaded(drivers, marks, start, engine.cycle, exc.lane)
+                raise
         return
     if generator is not None:
         while engine.cycle < end:
             if fast_forward and _try_fast_forward(engine, drivers, end - engine.cycle):
                 continue
-            generator.generate(engine.cycle)
-            for driver in drivers:
-                driver.pump()
+            cycle = engine.cycle
+            marks = [driver.mark() for driver in drivers]
+            generator.generate(cycle)
+            for lane, driver in enumerate(drivers):
+                try:
+                    driver.pump()
+                except NetworkOverloadError:
+                    _rewind_overloaded(drivers, marks, cycle, cycle, lane)
+                    raise
             engine.step()
         return
     while engine.cycle < end:
@@ -1014,6 +1024,18 @@ def run_batched(
             driver.generate(cycle)
             driver.pump()
         engine.step()
+
+
+def _rewind_overloaded(drivers, marks, start: int, failed: int, lane: int) -> None:
+    """Undo generation the reference loop had not reached at the overload.
+
+    ``marks`` were taken at cycle ``start``; the overload stopped
+    ``lane`` at cycle ``failed``.  The reference loop generates and
+    pumps lane by lane, so lanes up to the failing one generated cycle
+    ``failed`` and later lanes did not.
+    """
+    for i, (driver, mark) in enumerate(zip(drivers, marks)):
+        driver.rewind(mark, start, failed + (i <= lane))
 
 
 def drain_batched(

@@ -72,17 +72,17 @@ def run_lockstep(
                 if stop_on_divergence:
                     return report
     if compare_logs:
-        ref_inj = [r.__dict__ for r in reference.injections]
-        ref_ej = [r.__dict__ for r in reference.ejections]
+        # Logs compare as record sequences: lists of records and
+        # columnar EventLogs compare equal when they hold the same events.
         for engine, name in zip(engines[1:], names[1:]):
-            if [r.__dict__ for r in engine.injections] != ref_inj:
+            if engine.injections != reference.injections:
                 return EquivalenceReport(
                     cycles=cycles,
                     equivalent=False,
                     diverged_engine=name,
                     detail="injection logs differ",
                 )
-            if [r.__dict__ for r in engine.ejections] != ref_ej:
+            if engine.ejections != reference.ejections:
                 return EquivalenceReport(
                     cycles=cycles,
                     equivalent=False,

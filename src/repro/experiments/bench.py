@@ -82,8 +82,8 @@ class BenchPoint:
     overlap_efficiency: Optional[float] = None
     serial_sweep_seconds: Optional[float] = None
     speedup_vs_serial: Optional[float] = None
-    #: execution body the engine actually ran (kernel rows): "jit",
-    #: "python", "levelized" — the satellite requirement that the bench
+    #: execution body the engine actually ran (kernel rows): "python",
+    #: "levelized" — the satellite requirement that the bench
     #: reports the backend in use rather than assuming one.
     backend: Optional[str] = None
     #: rows measured on a workload other than the 6x6 fig1 network
@@ -132,11 +132,6 @@ def _engine_factories():
             f"batched FPGA lanes ({BATCH_LANES} instances side by side)",
             1,
         ),
-        "batch-jit": (
-            None,  # measured by _run_once_batched(kernel="jit")
-            f"batched FPGA lanes ({BATCH_LANES} lanes, generated-C kernel)",
-            1,
-        ),
         "batch-levelized": (
             None,  # measured by _run_once_batched(kernel="levelized")
             f"batched FPGA lanes ({BATCH_LANES} lanes, fused levelized "
@@ -183,8 +178,8 @@ def _run_once_batched(
     """Seconds for one batched construction + run: ``lanes`` independent
     copies of the Table-3 workload (seeds ``SEED .. SEED+lanes-1``)
     advanced side by side.  ``kernel`` pins the execution body so the
-    ``batch`` and ``batch-jit`` rows stay comparable across machines
-    whatever tier ``auto`` would pick."""
+    ``batch`` and ``batch-levelized`` rows stay comparable across
+    machines whatever tier ``auto`` would pick."""
     from repro.engines import BatchEngine, run_batched
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
@@ -375,13 +370,9 @@ def measure(
         return _measure_partition(name, cycles, rounds)
     factory, analogue, div = _engine_factories()[name]
     cycles = max(20, (cycles if cycles is not None else scale(300)) // div)
-    batched = name in ("batch", "batch-jit", "batch-levelized")
+    batched = name in ("batch", "batch-levelized")
     if batched:
-        kernel = {
-            "batch": "python",
-            "batch-jit": "jit",
-            "batch-levelized": "levelized",
-        }[name]
+        kernel = "python" if name == "batch" else "levelized"
         _run_once_batched(min(cycles, 20), lanes, kernel)  # warmup
         seconds = min(
             _run_once_batched(cycles, lanes, kernel)
@@ -420,7 +411,6 @@ def run(
         "sequential-baseline",
         "sequential-levelized",
         "batch",
-        "batch-jit",
         "batch-levelized",
         "pipeline",
         "sequential-16x16",
@@ -492,14 +482,11 @@ def run(
     lev = by_name.get("sequential-levelized")
     if lev is not None and base is not None:
         doc["speedup_levelized_vs_fixed_point"] = round(lev.cps / base.cps, 2)
-    jit = by_name.get("batch-jit")
     batch = by_name.get("batch")
-    if jit is not None and batch is not None:
-        doc["speedup_batch_jit_vs_batch"] = round(jit.cps / batch.cps, 2)
     batchlev = by_name.get("batch-levelized")
-    if batchlev is not None and jit is not None:
-        doc["speedup_batch_levelized_vs_batch_jit"] = round(
-            batchlev.cps / jit.cps, 2
+    if batchlev is not None and batch is not None:
+        doc["speedup_batch_levelized_vs_batch"] = round(
+            batchlev.cps / batch.cps, 2
         )
     mono16 = by_name.get("sequential-16x16")
     part4 = by_name.get("partitioned-4")
@@ -550,15 +537,10 @@ def render(doc: Dict) -> str:
             "\nlevelized fused body vs fixed-point reference loop: "
             f"{doc['speedup_levelized_vs_fixed_point']:.2f}x"
         )
-    if "speedup_batch_jit_vs_batch" in doc:
+    if "speedup_batch_levelized_vs_batch" in doc:
         out += (
-            "\nbatch generated-C kernel vs batch NumPy: "
-            f"{doc['speedup_batch_jit_vs_batch']:.2f}x aggregate"
-        )
-    if "speedup_batch_levelized_vs_batch_jit" in doc:
-        out += (
-            "\nbatch fused levelized chunks vs per-cycle generated-C: "
-            f"{doc['speedup_batch_levelized_vs_batch_jit']:.2f}x aggregate"
+            "\nbatch fused levelized kernel vs batch NumPy: "
+            f"{doc['speedup_batch_levelized_vs_batch']:.2f}x aggregate"
         )
     if "speedup_partitioned_vs_monolithic" in doc:
         part = doc["engines"].get("partitioned-4") or {}

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import render_table, scale
 from repro.experiments.parallel import lane_batchable, parallel_map, stream_enabled
+from repro.noc.eventlog import event_rows
 
 #: offered BE load shared by every pattern (fraction of capacity).
 LOAD = 0.10
@@ -95,7 +96,7 @@ def _pattern_result(name: str, net, tracker, ejection_log) -> PatternResult:
     stats = tracker.stats()
     target = net.index(*HOTSPOT_XY)
     ejections = len(ejection_log)
-    to_target = sum(1 for e in ejection_log if e.router == target)
+    to_target = sum(1 for _c, router, _v, _w in event_rows(ejection_log) if router == target)
     return PatternResult(
         name=name,
         mean=stats.mean,

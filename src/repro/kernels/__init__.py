@@ -6,13 +6,15 @@ Two cooperating pieces:
   the router dependency graph (feedback arcs broken at the registered
   state boundary) into a static evaluation schedule, replacing
   delta-cycle fixed-point iteration with a bounded number of passes.
-* :mod:`repro.kernels.cbackend` / :mod:`repro.kernels.batchstep` — the
+  For the NoC it always yields rooms → forwards → state, the fixed
+  order the batch kernel bakes in.
+* :mod:`repro.kernels.cbackend` / :mod:`repro.kernels.batchlevel` — the
   **kernel compilation layer**: generate a specialized, loop-fused C
   body for the three ``ArrayState`` batch sweeps (rooms / forwards /
-  state update, fused into one pass per lane), compile it at first use,
-  and drive it through cffi.  :mod:`repro.kernels.seqbody` generates the
-  analogous fused Python body for the levelized sequential
-  evaluate/commit path.
+  state update, fused into one pass per lane, many cycles per call),
+  compile it at first use, and drive it through cffi.
+  :mod:`repro.kernels.seqbody` generates the analogous fused Python
+  body for the levelized sequential evaluate/commit path.
 
 Backend ladder, selected at import/construction time::
 

@@ -1,22 +1,25 @@
 """Levelized lane-parallel batch kernel: the static schedule on the lane axis.
 
 :class:`CompiledBatchLevel` generates one fused C body per **(router
-configuration, level schedule)** pair: the compile-time constants of
-:class:`~repro.kernels.cbackend.KernelSpec` plus the three router
-orders of the NoC's :class:`~repro.kernels.levelize.LevelSchedule`
-(room → forward → state) baked in as static tables.  Each system cycle
-walks the levelized combinational graph exactly once per lane — level 0
-(rooms), level 1 (forwards), then the registered commit — replacing the
-dynamic fixed-point allocation sweep of the batch engine with statically
-scheduled passes, the Manticore/CCSS structure: fast statically ordered
-combinational evaluation, cheap bulk-synchronous sequential commit.
+configuration, fabric size)**: the compile-time constants of
+:class:`~repro.kernels.cbackend.KernelSpec` plus the router count baked
+in.  Each system cycle walks the NoC's fixed three-phase schedule
+exactly once per lane — level 0 (rooms), level 1 (forwards), then the
+registered commit.  The schedule needs no levelizer at run time: every
+feedback loop of the fabric closes through the state registers
+(:meth:`~repro.noc.topology.Topology.signal_graph`), so rooms read only
+committed state, forwards read only rooms, the commit reads only
+forwards, and the routers within one level are independent of each
+other (``tests/test_kernels_levelize.py`` re-checks that the graph
+levelizes to exactly these three levels).  This is the Manticore/CCSS
+structure: fast statically ordered combinational evaluation, cheap
+bulk-synchronous sequential commit.
 
 Two execution shapes share the one generated function:
 
 * :meth:`CompiledBatchLevel.step` / :meth:`~CompiledBatchLevel.step_range`
   — a single cycle over all lanes (or a contiguous lane range, the
-  per-lane fault-fallback hook), drop-in for
-  :class:`~repro.kernels.batchstep.CompiledBatchStep`;
+  per-lane fault-fallback hook);
 * :meth:`CompiledBatchLevel.run_chunk` — **many cycles per C call**: the
   per-(router, VC) stimuli queues of every lane's
   :class:`~repro.traffic.stimuli.TrafficDriver` are staged into flat
@@ -30,34 +33,34 @@ Two execution shapes share the one generated function:
   skipped cycles' delta accounting, so metrics and the cycle counter
   are identical to stepping through them).
 
+Events leave the kernel as flat int64 columns and are appended to the
+engine's per-lane :class:`~repro.noc.eventlog.EventLog` columns without
+building a record object.
+
 Bit-identity contract: per lane, every snapshot, injection/ejection
-record (cycle stamps included), stall counter and overload diagnosis
+event (cycle stamps included), stall counter and overload diagnosis
 equals the reference NumPy path driven cycle by cycle — the batch
 lockstep tests compare all of it.  Errors re-raise the exact exceptions
 of the reference path; a mid-chunk error first applies the completed
 cycles' state and events, leaving the engine exactly where the
 per-cycle reference stops.
 
-Compilation rides the PR-8 pipeline (:func:`repro.kernels.cbackend
-.load_source`): availability-gated, sha256 disk cache keyed on the
-generated source — which embeds a digest of the schedule, so distinct
-schedules never collide in the cache.
+Compilation rides :func:`repro.kernels.cbackend.load_source`:
+availability-gated, sha256 disk cache keyed on the generated source.
 """
 
 from __future__ import annotations
 
-import hashlib
 import string
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import KernelUnavailableError
 from repro.noc.config import Port
-from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.noc.router import ProtocolError
 
-__all__ = ["CompiledBatchLevel", "generate_level_source", "level_orders"]
+__all__ = ["CompiledBatchLevel", "generate_level_source"]
 
 _SIGNATURE = """
 int64_t repro_level_chunk(
@@ -89,8 +92,7 @@ int64_t repro_level_chunk(
 _TEMPLATE = string.Template(
     """
 /* Generated by repro.kernels.batchlevel -- do not edit.
- * Specialized levelized batch-chunk kernel: ${spec}
- * schedule: ${sched}
+ * Specialized levelized batch-chunk kernel: ${spec} routers=${RN}
  */
 #include <stdint.h>
 
@@ -110,16 +112,11 @@ _TEMPLATE = string.Template(
 #define VMASK ${VMASK}
 #define RN ${RN}
 
-/* The level schedule, baked in: evaluating ROOM_LEVEL, then FWD_LEVEL,
- * then the registered commit visits every combinational node exactly
- * once with all of its inputs settled (levelize() proves the order).
- * STATE_LEVEL drives the pure allocation-decision scan of level 2; the
- * commit itself runs in ascending router order — a semantically free
- * choice for registered updates, pinned so event logs match the
- * vectorized reference stream for stream. */
-static const int64_t ROOM_LEVEL[RN] = {${ROOM_ORDER}};
-static const int64_t FWD_LEVEL[RN] = {${FWD_ORDER}};
-static const int64_t STATE_LEVEL[RN] = {${STATE_ORDER}};
+/* The fixed three-phase schedule: every room node, then every forward
+ * node, then the registered commit visits each combinational node once
+ * with all of its inputs settled.  Nodes within a level never read each
+ * other, so each level runs in ascending router order — pinned so event
+ * logs match the vectorized reference stream for stream. */
 
 /* First set bit of req cyclically above `last` (the shared round-robin
  * grant): the bits above the pointer win outright, else wrap. */
@@ -223,8 +220,7 @@ ${signature}
                 continue;
             const int64_t sc = b * RN;
             /* level 0: room nodes (Moore, committed occupancy only) */
-            for (int64_t li = 0; li < RN; li++) {
-                const int64_t r = ROOM_LEVEL[li];
+            for (int64_t r = 0; r < RN; r++) {
                 const int64_t *cnt = count + (sc + r) * NQ;
                 const int64_t *qa = queue_alloc + (sc + r) * NQ;
                 const int64_t dep = depth[r];
@@ -241,8 +237,7 @@ ${signature}
                     rooms[r * P + p] = (int64_t)((space >> (p * V)) & VMASK);
             }
             /* level 1: forward nodes (stimuli word + crossbar) */
-            for (int64_t li = 0; li < RN; li++) {
-                const int64_t r = FWD_LEVEL[li];
+            for (int64_t r = 0; r < RN; r++) {
                 const int64_t *iv = inj_valid + (sc + r) * V;
                 const int64_t room0 = rooms[r * P];
                 int64_t req = 0;
@@ -306,8 +301,7 @@ ${signature}
             }
             /* level 2, pure half: rotating-priority output-VC
              * allocation decisions, observing only pre-update state */
-            for (int64_t li = 0; li < RN; li++) {
-                const int64_t r = STATE_LEVEL[li];
+            for (int64_t r = 0; r < RN; r++) {
                 uint64_t scan = (uint64_t)(neq[r] & ~qam[r]);
                 if (!scan) {
                     dec_n[sc + r] = 0;
@@ -534,8 +528,9 @@ ${signature}
 """
 )
 
-#: live ``ArrayState`` arrays the kernel reads/writes (the batch-step
-#: set plus ``stalled``, which the in-C pump maintains).
+#: live ``ArrayState`` arrays the kernel reads/writes (``stalled`` is
+#: maintained by the in-C pump); rebinding any of them (NumPy interop,
+#: checkpoint restores) re-derives the pointers.
 _STATE_FIELDS = (
     "mem",
     "rd",
@@ -555,50 +550,11 @@ _STATE_FIELDS = (
 )
 
 
-def level_orders(schedule) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """The ``(room, fwd, state)`` router orders of ``schedule``.
-
-    ``None`` when the schedule is not the canonical three-level,
-    kind-homogeneous NoC shape — the combinational-cycle (or foreign
-    graph) signal the engine treats as "fall back to the dynamic
-    sweep".
-    """
-    from repro.kernels.seqbody import _kind_levels
-
-    return _kind_levels(schedule)
-
-
-def schedule_digest(schedule) -> str:
-    """Cache-key digest of a schedule's level structure."""
-    return hashlib.sha256(repr(schedule.levels).encode()).hexdigest()[:16]
-
-
-def generate_level_source(spec, schedule) -> str:
-    """The specialized C translation unit for ``(spec, schedule)``."""
-    orders = level_orders(schedule)
-    if orders is None:
-        raise KernelUnavailableError(
-            "levelized batch kernel needs the canonical 3-level "
-            f"room/fwd/state schedule (got depth {schedule.depth})"
-        )
-    room, fwd, state = orders
-    n = len(room)
-    for name, order in (("room", room), ("fwd", fwd), ("state", state)):
-        if sorted(order) != list(range(n)):
-            raise KernelUnavailableError(
-                f"levelized batch kernel: {name} level is not a permutation "
-                f"of the {n} routers"
-            )
+def generate_level_source(spec, n_routers: int) -> str:
+    """The specialized C translation unit for ``spec`` on ``n_routers``."""
     return _TEMPLATE.substitute(
         spec=" ".join(f"{k}={v}" for k, v in sorted(vars(spec).items())),
-        sched=(
-            f"{schedule_digest(schedule)} depth={schedule.depth} "
-            f"nodes={len(schedule)}"
-        ),
-        RN=n,
-        ROOM_ORDER=", ".join(map(str, room)),
-        FWD_ORDER=", ".join(map(str, fwd)),
-        STATE_ORDER=", ".join(map(str, state)),
+        RN=n_routers,
         P=spec.n_ports,
         V=spec.n_vcs,
         NQ=spec.n_queues,
@@ -617,6 +573,14 @@ def generate_level_source(spec, schedule) -> str:
     )
 
 
+#: kernel arguments naming the rows of the injection event buffer; the
+#: rows after the lane are the columns of an ``InjectionRecord``.
+_SENT_ROWS = ("sent_lane", "sent_cycle", "sent_r", "sent_vc", "sent_word", "sent_delay")
+#: likewise for ejections; the kernel writes the raw link word into the
+#: last row and the wrapper splits it into VC and flit word.
+_EJ_ROWS = ("ej_lane", "ej_cycle", "ej_r", None, "ej_word")
+
+
 class _Staged:
     """Flat view of every driver's per-(router, VC) stimuli queues."""
 
@@ -633,18 +597,17 @@ class _Staged:
 class CompiledBatchLevel:
     """The generated levelized execution body for one batch engine."""
 
-    def __init__(self, engine, schedule) -> None:
+    def __init__(self, engine) -> None:
         from repro.kernels import cbackend
 
         self.engine = engine
-        self.schedule = schedule
         if engine._NQ > 63:
             raise KernelUnavailableError(
                 "compiled allocation scan supports at most 63 queues "
                 f"per router (got {engine._NQ})"
             )
         spec = cbackend.KernelSpec.from_engine(engine)
-        source = generate_level_source(spec, schedule)
+        source = generate_level_source(spec, engine.cfg.n_routers)
         self._lib = cbackend.load_source(source, _SIGNATURE.strip() + ";")
         self._ffi = cbackend._ffi_for(_SIGNATURE.strip() + ";")
 
@@ -698,17 +661,6 @@ class CompiledBatchLevel:
             "dec_ovc": B * R * NQ,
             "dec_n": B * R,
             "last_alloc": B * R,
-            # single-cycle event buffers (chunks allocate their own)
-            "sent_lane": B * R * V,
-            "sent_r": B * R * V,
-            "sent_vc": B * R * V,
-            "sent_word": B * R * V,
-            "sent_delay": B * R * V,
-            "sent_cycle": B * R * V,
-            "ej_lane": B * R,
-            "ej_r": B * R,
-            "ej_word": B * R,
-            "ej_cycle": B * R,
             "counts": 3,
             "err": 6,
         }
@@ -724,6 +676,9 @@ class CompiledBatchLevel:
         for name, arr in self._scratch.items():
             self._ptrs[name] = self._ptr(arr)
         self._ptrs["empty"] = self._ptr(self._empty)
+        self._sent = self._ej = np.zeros((0, 0), dtype=np.int64)
+        # one cycle of events fits without growing
+        self._reserve_events(B * R * V, B * R)
         self._rebind()
 
     def _ptr(self, arr):
@@ -733,6 +688,17 @@ class CompiledBatchLevel:
                 f"(got {arr.dtype}, contiguous={arr.flags['C_CONTIGUOUS']})"
             )
         return self._ffi.cast("int64_t *", arr.ctypes.data)
+
+    def _reserve_events(self, n_sent: int, n_ej: int) -> None:
+        """Make room for ``n_sent`` injection and ``n_ej`` ejection events."""
+        for attr, rows, need in (("_sent", _SENT_ROWS, n_sent), ("_ej", _EJ_ROWS, n_ej)):
+            if getattr(self, attr).shape[1] >= need:
+                continue
+            buf = np.zeros((len(rows), max(need, 64)), dtype=np.int64)
+            setattr(self, attr, buf)
+            for name, row in zip(rows, buf):
+                if name is not None:
+                    self._ptrs[name] = self._ptr(row)
 
     def _rebind(self) -> None:
         engine = self.engine
@@ -772,7 +738,7 @@ class CompiledBatchLevel:
         scratch["ejany"][:n] = S.eject_valid[lo:hi].reshape(n, -1).sum(axis=1)
 
     # -- execution ----------------------------------------------------------
-    def _call(self, lo, hi, n_cycles, base_cycle, stall_limit, staged, events):
+    def _call(self, lo, hi, n_cycles, base_cycle, stall_limit, staged):
         engine = self.engine
         p = self._ptrs
         ffi = self._ffi
@@ -798,7 +764,6 @@ class CompiledBatchLevel:
         else:
             nqs = staged.n_queues
             qp = staged.ptrs
-        ep = {name: self._ptr(arr) for name, arr in events.items()}
         return self._lib.repro_level_chunk(
             hi - lo,
             engine.cfg.n_routers,
@@ -851,48 +816,33 @@ class CompiledBatchLevel:
             p["dec_ovc"],
             p["dec_n"],
             p["last_alloc"],
-            ep["sent_lane"],
-            ep["sent_r"],
-            ep["sent_vc"],
-            ep["sent_word"],
-            ep["sent_delay"],
-            ep["sent_cycle"],
-            ep["ej_lane"],
-            ep["ej_r"],
-            ep["ej_word"],
-            ep["ej_cycle"],
+            p["sent_lane"],
+            p["sent_r"],
+            p["sent_vc"],
+            p["sent_word"],
+            p["sent_delay"],
+            p["sent_cycle"],
+            p["ej_lane"],
+            p["ej_r"],
+            p["ej_word"],
+            p["ej_cycle"],
             p["counts"],
             p["err"],
         )
 
-    def _extract_events(self, events, n_sent, n_ej, lane_offset) -> None:
+    def _log_events(self, lane_offset: int) -> None:
+        """Append the last call's events to the engine's lane logs."""
         engine = self.engine
-        if n_sent:
-            injections = engine._injections
-            for b, r, v, w, d, c in zip(
-                events["sent_lane"][:n_sent].tolist(),
-                events["sent_r"][:n_sent].tolist(),
-                events["sent_vc"][:n_sent].tolist(),
-                events["sent_word"][:n_sent].tolist(),
-                events["sent_delay"][:n_sent].tolist(),
-                events["sent_cycle"][:n_sent].tolist(),
-            ):
-                injections[b + lane_offset].append(
-                    InjectionRecord(c, r, v, w, d)
-                )
-        if n_ej:
-            vc_shift = engine._vc_shift
-            mask = (1 << vc_shift) - 1
-            ejections = engine._ejections
-            for b, r, w, c in zip(
-                events["ej_lane"][:n_ej].tolist(),
-                events["ej_r"][:n_ej].tolist(),
-                events["ej_word"][:n_ej].tolist(),
-                events["ej_cycle"][:n_ej].tolist(),
-            ):
-                ejections[b + lane_offset].append(
-                    EjectionRecord(c, r, w >> vc_shift, w & mask)
-                )
+        counts = self._scratch["counts"]
+        sent = self._sent[:, : int(counts[0])]
+        ej = self._ej[:, : int(counts[1])]
+        ej[3] = ej[4] >> engine._vc_shift
+        ej[4] &= (1 << engine._vc_shift) - 1
+        if lane_offset:
+            sent[0] += lane_offset
+            ej[0] += lane_offset
+        engine._log(engine._injections, sent[0], sent[1:])
+        engine._log(engine._ejections, ej[0], ej[1:])
 
     def step(self) -> None:
         """Advance every lane one cycle (events appended, errors raised)."""
@@ -904,26 +854,9 @@ class CompiledBatchLevel:
         sweep; the two ranges never interact within a cycle)."""
         if self._stale():
             self._rebind()
-        engine = self.engine
         self._refresh_activity(lo, hi)
-        events = {
-            name: self._scratch[name]
-            for name in (
-                "sent_lane",
-                "sent_r",
-                "sent_vc",
-                "sent_word",
-                "sent_delay",
-                "sent_cycle",
-                "ej_lane",
-                "ej_r",
-                "ej_word",
-                "ej_cycle",
-            )
-        }
-        ret = self._call(lo, hi, 1, engine.cycle, 0, None, events)
-        counts = self._scratch["counts"]
-        self._extract_events(events, int(counts[0]), int(counts[1]), lo)
+        ret = self._call(lo, hi, 1, self.engine.cycle, 0, None)
+        self._log_events(lo)
         if ret:
             self._raise(ret, self._scratch["err"], None)
 
@@ -1008,32 +941,16 @@ class CompiledBatchLevel:
         staged = self.stage(drivers, window)
         self._refresh_activity(0, engine.lanes)
         scratch = self._scratch
-        sent_cap = max(1, int(scratch["injc"][: engine.lanes].sum()) + staged.n_entries)
-        ej_cap = sent_cap + max(1, int(scratch["buffered"][: engine.lanes].sum()))
-        events = {
-            "sent_lane": np.zeros(sent_cap, dtype=np.int64),
-            "sent_r": np.zeros(sent_cap, dtype=np.int64),
-            "sent_vc": np.zeros(sent_cap, dtype=np.int64),
-            "sent_word": np.zeros(sent_cap, dtype=np.int64),
-            "sent_delay": np.zeros(sent_cap, dtype=np.int64),
-            "sent_cycle": np.zeros(sent_cap, dtype=np.int64),
-            "ej_lane": np.zeros(ej_cap, dtype=np.int64),
-            "ej_r": np.zeros(ej_cap, dtype=np.int64),
-            "ej_word": np.zeros(ej_cap, dtype=np.int64),
-            "ej_cycle": np.zeros(ej_cap, dtype=np.int64),
-        }
-        stall_limit = drivers[0].stall_limit if drivers else 10_000
-        ret = self._call(
-            0,
-            engine.lanes,
-            n_cycles,
-            engine.cycle,
-            stall_limit,
-            staged,
-            events,
+        # Every staged entry and pending register injects at most once;
+        # every flit ejects at most once.
+        sent_cap = int(scratch["injc"][: engine.lanes].sum()) + staged.n_entries
+        self._reserve_events(
+            sent_cap, sent_cap + int(scratch["buffered"][: engine.lanes].sum())
         )
+        stall_limit = drivers[0].stall_limit if drivers else 10_000
+        ret = self._call(0, engine.lanes, n_cycles, engine.cycle, stall_limit, staged)
         counts = scratch["counts"]
-        self._extract_events(events, int(counts[0]), int(counts[1]), 0)
+        self._log_events(0)
         completed = int(counts[2])
         if completed:
             engine.metrics.record_cycles(
@@ -1091,8 +1008,10 @@ class CompiledBatchLevel:
             )
             if drivers is not None:
                 drivers[lane].overloaded = True
-            raise NetworkOverloadError(
+            exc = NetworkOverloadError(
                 f"router {router} VC {vc} refused stimuli for "
                 f"{stall} cycles — network overloaded"
             )
+            exc.lane = lane
+            raise exc
         raise RuntimeError(f"levelized batch kernel returned error code {ret}")

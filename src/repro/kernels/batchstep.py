@@ -1,252 +1,28 @@
-"""Bind a :class:`~repro.engines.batch.BatchEngine` to the C kernel.
+"""The retired per-cycle dynamic-sweep C tier of the batch engine.
 
-:class:`CompiledBatchStep` owns the kernel's view of one engine: the
-static gather tables converted to dense C-contiguous int64 arrays, the
-reusable scratch planes, the flat event buffers, and cached cffi
-pointers into the live ``ArrayState`` arrays.  Pointers are re-derived
-whenever an underlying array object changes identity (lane reloads
-mutate in place, but ``quarantine_link`` re-packs the routing table and
-checkpoint restores may swap whole arrays), so the binding survives
-every state-mutation path the NumPy engine supports.
-
-One :meth:`step` call advances all lanes one system cycle with a single
-C call and converts the emitted flat event buffers into the same
-per-lane :class:`~repro.noc.network.InjectionRecord` /
-:class:`~repro.noc.network.EjectionRecord` streams — in the same order —
-as the vectorized sweeps.  Architectural error returns are re-raised as
-the exact exceptions (message included) of the NumPy path, with no
-architectural state mutated before the raise for route and GT errors
-(overflow raises mid-commit on both paths; post-raise state is
-unspecified there either way).
+The batch engine's one compiled body is the fused levelized kernel
+(:mod:`repro.kernels.batchlevel`), whose single-cycle entry point
+covers everything this tier did.  The class name survives only because
+the benchmark's per-layer tracer (``perfbench/tracer.py``) wraps it by
+name; nothing constructs it.  Delete this module together with those
+tracer targets.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.kernels import KernelUnavailableError
-from repro.noc.config import Port
-from repro.noc.network import EjectionRecord, InjectionRecord
-from repro.noc.router import ProtocolError
 
 __all__ = ["CompiledBatchStep"]
 
-#: live ``ArrayState`` arrays the kernel reads/writes; rebinding any of
-#: them (NumPy interop, checkpoint restores) re-derives the pointers.
-_STATE_FIELDS = (
-    "mem",
-    "rd",
-    "wr",
-    "count",
-    "alloc",
-    "queue_alloc",
-    "arb_ptr",
-    "alloc_ptr",
-    "inj_word",
-    "inj_valid",
-    "rr_ptr",
-    "delay",
-    "eject_word",
-    "eject_valid",
-)
-
 
 class CompiledBatchStep:
-    """The generated-C execution body for one batch engine."""
+    """Placeholder for the retired tier: construction always fails."""
 
     def __init__(self, engine) -> None:
-        from repro.kernels import cbackend
-
-        self.engine = engine
-        if engine._NQ > 63:
-            raise KernelUnavailableError(
-                "compiled allocation scan supports at most 63 queues "
-                f"per router (got {engine._NQ})"
-            )
-        spec = cbackend.KernelSpec.from_engine(engine)
-        self._lib = cbackend.load(spec)
-        self._ffi = cbackend._ffi()
-
-        def table(arr):
-            return np.ascontiguousarray(arr, dtype=np.int64)
-
-        nb_idx, nb_ok = engine.topology.packed_neighbors()
-        P = engine._P
-        self._tables = {
-            "nb_idx": table(nb_idx),
-            "nb_ok": table(nb_ok),
-            "opp": table(
-                [int(Port(p).opposite) if p else 0 for p in range(P)]
-            ),
-            "be_cand": table(engine._be_cand),
-        }
-        B, R, V, NQ = engine.lanes, engine.cfg.n_routers, engine._V, engine._NQ
-        scratch = {
-            "rooms": R * P,
-            "fwd_out": R * P,
-            "choice": B * R,
-            "ej_in": B * R,
-            "gq": B * R * P,
-            "gvc": B * R * P,
-            "fwd_in": B * R * P,
-            "dec_q": B * R * NQ,
-            "dec_ovc": B * R * NQ,
-            "dec_n": B * R,
-            "last_alloc": B * R,
-            "sent_lane": B * R * V,
-            "sent_r": B * R * V,
-            "sent_vc": B * R * V,
-            "sent_word": B * R * V,
-            "sent_delay": B * R * V,
-            "ej_lane": B * R,
-            "ej_r": B * R,
-            "ej_word": B * R,
-            "counts": 2,
-            "err": 4,
-        }
-        self._scratch = {
-            name: np.zeros(size, dtype=np.int64)
-            for name, size in scratch.items()
-        }
-        self._bound: dict = {}
-        self._ptrs: dict = {}
-        for name, arr in self._tables.items():
-            self._ptrs[name] = self._ptr(arr)
-        for name, arr in self._scratch.items():
-            self._ptrs[name] = self._ptr(arr)
-        self._rebind()
-
-    def _ptr(self, arr):
-        if arr.dtype != np.int64 or not arr.flags["C_CONTIGUOUS"]:
-            raise KernelUnavailableError(
-                "kernel binding needs C-contiguous int64 arrays "
-                f"(got {arr.dtype}, contiguous={arr.flags['C_CONTIGUOUS']})"
-            )
-        return self._ffi.cast("int64_t *", arr.ctypes.data)
-
-    def _rebind(self) -> None:
-        engine = self.engine
-        state = engine.state
-        bound = {name: getattr(state, name) for name in _STATE_FIELDS}
-        bound["depth"] = state.depth
-        bound["route_src"] = engine._route
-        # The routing table is re-packed (new object) on quarantine, and
-        # never mutated in place, so a private contiguous copy is safe.
-        bound["route"] = np.ascontiguousarray(engine._route, dtype=np.int64)
-        self._bound = bound
-        for name in (*_STATE_FIELDS, "depth", "route"):
-            self._ptrs[name] = self._ptr(bound[name])
-
-    def _stale(self) -> bool:
-        engine = self.engine
-        state = engine.state
-        bound = self._bound
-        if engine._route is not bound["route_src"]:
-            return True
-        if state.depth is not bound["depth"]:
-            return True
-        return any(
-            getattr(state, name) is not bound[name] for name in _STATE_FIELDS
+        raise KernelUnavailableError(
+            "the dynamic-sweep batch kernel was retired; "
+            "use BatchEngine(kernel='levelized')"
         )
 
     def step(self) -> None:
-        """Advance every lane one cycle (events appended, errors raised)."""
-        if self._stale():
-            self._rebind()
-        engine = self.engine
-        p = self._ptrs
-        ret = self._lib.repro_step_batch(
-            engine.lanes,
-            engine.cfg.n_routers,
-            p["depth"],
-            p["nb_idx"],
-            p["nb_ok"],
-            p["opp"],
-            p["route"],
-            p["be_cand"],
-            p["mem"],
-            p["rd"],
-            p["wr"],
-            p["count"],
-            p["alloc"],
-            p["queue_alloc"],
-            p["arb_ptr"],
-            p["alloc_ptr"],
-            p["inj_word"],
-            p["inj_valid"],
-            p["rr_ptr"],
-            p["delay"],
-            p["eject_word"],
-            p["eject_valid"],
-            p["rooms"],
-            p["fwd_out"],
-            p["choice"],
-            p["ej_in"],
-            p["gq"],
-            p["gvc"],
-            p["fwd_in"],
-            p["dec_q"],
-            p["dec_ovc"],
-            p["dec_n"],
-            p["last_alloc"],
-            p["sent_lane"],
-            p["sent_r"],
-            p["sent_vc"],
-            p["sent_word"],
-            p["sent_delay"],
-            p["ej_lane"],
-            p["ej_r"],
-            p["ej_word"],
-            p["counts"],
-            p["err"],
-        )
-        if ret:
-            self._raise(ret, self._scratch["err"])
-        scratch = self._scratch
-        cycle = engine.cycle
-        n_sent = int(scratch["counts"][0])
-        if n_sent:
-            lanes = scratch["sent_lane"]
-            routers = scratch["sent_r"]
-            vcs = scratch["sent_vc"]
-            words = scratch["sent_word"]
-            delays = scratch["sent_delay"]
-            injections = engine._injections
-            for i in range(n_sent):
-                injections[int(lanes[i])].append(
-                    InjectionRecord(
-                        cycle,
-                        int(routers[i]),
-                        int(vcs[i]),
-                        int(words[i]),
-                        int(delays[i]),
-                    )
-                )
-        n_ej = int(scratch["counts"][1])
-        if n_ej:
-            vc_shift = engine._vc_shift
-            mask = (1 << vc_shift) - 1
-            lanes = scratch["ej_lane"]
-            routers = scratch["ej_r"]
-            words = scratch["ej_word"]
-            ejections = engine._ejections
-            for i in range(n_ej):
-                word = int(words[i])
-                ejections[int(lanes[i])].append(
-                    EjectionRecord(
-                        cycle, int(routers[i]), word >> vc_shift, word & mask
-                    )
-                )
-
-    def _raise(self, ret, err) -> None:
-        if ret == 1:
-            data = int(err[1])
-            x, y = data & 0xF, (data >> 4) & 0xF
-            raise IndexError(f"coordinates ({x}, {y}) out of range")
-        if ret == 2:
-            raise ProtocolError(
-                f"router {int(err[1])}: GT head on non-GT VC {int(err[2])}"
-            )
-        if ret == 3:
-            raise ProtocolError("queue overflow: upstream ignored room")
-        raise RuntimeError(f"batch kernel returned unknown error code {ret}")
+        raise KernelUnavailableError("the dynamic-sweep batch kernel was retired")

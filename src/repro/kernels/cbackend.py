@@ -1,12 +1,11 @@
-"""Generated-C backend: specialize, compile and load the batch kernel.
+"""Generated-C backend: compile, cache and load the generated kernels.
 
-:func:`generate_source` emits one C translation unit specialized for a
-router configuration (:class:`KernelSpec`): ports, VCs, queue depth
-bound, flit field layout and type codes are baked in as compile-time
-constants so the compiler can fully unroll and fuse the three
-``ArrayState`` sweeps into a single pass per lane.  The network size
-``R`` and lane count ``B`` stay runtime parameters — one compiled
-kernel serves every fabric built from the same router.
+The generated kernels — the fused levelized batch kernel
+(:mod:`repro.kernels.batchlevel`) and the lane-batched traffic
+generator (:mod:`repro.kernels.trafficgen`) — are specialized C
+translation units: a router configuration (:class:`KernelSpec`: ports,
+VCs, queue depth bound, flit field layout and type codes) is baked in
+as compile-time constants so the compiler can fully unroll the sweeps.
 
 Compilation is on demand and cached on disk: the source is hashed, the
 shared object lands in ``$REPRO_KERNEL_CACHE`` (default
@@ -16,20 +15,6 @@ a reason instead of an exception: no cffi, no C compiler, or a failing
 compile all surface through :func:`availability` /
 :class:`~repro.kernels.KernelUnavailableError` and the callers fall
 back to the bit-identical NumPy sweeps.
-
-The kernel itself mirrors ``BatchEngine.step`` operation for operation
-(see the equivalence notes there); it runs in two passes so every
-architectural error check observes pre-update state exactly like the
-vectorized path:
-
-* pass 1 (pure): room masks, stimuli round-robin choice, crossbar
-  arbitration, forward-wire gather, and the rotating-priority
-  output-VC allocation scan — plus the route/GT validation of every
-  candidate head in flat ``(lane, router, queue)`` order;
-* pass 2 (mutate): pops, overflow-checked pushes, allocation
-  application and the stimuli state update, emitting injection and
-  ejection events into flat buffers the Python wrapper turns into
-  records.
 """
 
 from __future__ import annotations
@@ -37,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
-import string
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -47,378 +31,14 @@ from repro.kernels import KernelUnavailableError
 
 __all__ = [
     "KernelSpec",
-    "SIGNATURE",
     "availability",
     "cache_dir",
-    "generate_source",
-    "load",
     "load_source",
 ]
 
 #: compiler flags every generated kernel is built with (part of the
 #: disk-cache key, so changing them rebuilds).
 CFLAGS = ("-O2", "-shared", "-fPIC")
-
-SIGNATURE = """
-int64_t repro_step_batch(
-    int64_t B, int64_t R,
-    const int64_t *depth,
-    const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
-    const int64_t *route, const int64_t *be_cand,
-    int64_t *mem, int64_t *rd, int64_t *wr, int64_t *count,
-    int64_t *alloc, int64_t *queue_alloc, int64_t *arb_ptr,
-    int64_t *alloc_ptr,
-    int64_t *inj_word, int64_t *inj_valid, int64_t *rr_ptr, int64_t *delay,
-    int64_t *eject_word, int64_t *eject_valid,
-    int64_t *rooms, int64_t *fwd_out,
-    int64_t *choice, int64_t *ej_in,
-    int64_t *gq, int64_t *gvc, int64_t *fwd_in,
-    int64_t *dec_q, int64_t *dec_ovc, int64_t *dec_n, int64_t *last_alloc,
-    int64_t *sent_lane, int64_t *sent_r, int64_t *sent_vc,
-    int64_t *sent_word, int64_t *sent_delay,
-    int64_t *ej_lane, int64_t *ej_r, int64_t *ej_word,
-    int64_t *counts, int64_t *err)
-"""
-
-_TEMPLATE = string.Template(
-    """
-/* Generated by repro.kernels.cbackend -- do not edit.
- * Specialized batch-step kernel: ${spec}
- */
-#include <stdint.h>
-
-#define P ${P}
-#define V ${V}
-#define NQ ${NQ}
-#define DMAX ${DMAX}
-#define DW ${DW}
-#define VC_SHIFT ${VC_SHIFT}
-#define SINK ${SINK}
-#define HEAD_T ${HEAD_T}
-#define TAIL_T ${TAIL_T}
-#define IDLE_T ${IDLE_T}
-#define GT_MASK ${GT_MASK}
-#define PAYLOAD_MASK ${PAYLOAD_MASK}
-#define FLIT_MASK ${FLIT_MASK}
-#define VMASK ${VMASK}
-
-/* First set bit of req cyclically above `last` (the shared round-robin
- * grant): the bits above the pointer win outright, else wrap. */
-static inline int64_t rr_pick(int64_t req, int64_t last, int64_t width)
-{
-    int64_t above = req >> (last + 1);
-    if (above)
-        return (int64_t)__builtin_ctzll((unsigned long long)above) + last + 1;
-    (void)width;
-    return (int64_t)__builtin_ctzll((unsigned long long)req);
-}
-
-${signature}
-{
-    int64_t n_sent = 0, n_ej = 0;
-    /* Error records, flat (lane, router, queue) candidate order; route
-     * errors outrank GT errors across the whole step, matching the
-     * vectorized sweep's raise order. */
-    int64_t route_err = 0, route_data = 0;
-    int64_t gt_err = 0, gt_r = 0, gt_vc = 0;
-    /* Per-router occupancy bitmasks of the current lane, rebuilt from
-     * the committed state each step (the arrays can be mutated in place
-     * between calls — checkpoint restores, lane loads):
-     *   neq bit q — queue q non-empty, qam bit q — queue q allocated. */
-    int64_t neq[R], qam[R];
-
-    /* ---- pass 1: pure evaluation (no architectural state changes) ---- */
-    for (int64_t b = 0; b < B; b++) {
-        const int64_t sc = b * R;
-        /* sweep 1: occupancy masks + room masks (Moore, committed
-         * occupancy only): one scan over the queues feeds everything
-         * downstream through bit tests instead of rescans. */
-        for (int64_t r = 0; r < R; r++) {
-            const int64_t *cnt = count + (sc + r) * NQ;
-            const int64_t *qa = queue_alloc + (sc + r) * NQ;
-            const int64_t dep = depth[r];
-            uint64_t space = 0, ne = 0, qm = 0;
-            for (int64_t q = 0; q < NQ; q++) {
-                const int64_t c = cnt[q];
-                space |= (uint64_t)(c < dep) << q;
-                ne |= (uint64_t)(c > 0) << q;
-                qm |= (uint64_t)(qa[q] >= 0) << q;
-            }
-            neq[r] = (int64_t)ne;
-            qam[r] = (int64_t)qm;
-            for (int64_t p = 0; p < P; p++)
-                rooms[r * P + p] = (int64_t)((space >> (p * V)) & VMASK);
-        }
-        /* sweep 2: stimuli output word + crossbar arbitration */
-        for (int64_t r = 0; r < R; r++) {
-            const int64_t *iv = inj_valid + (sc + r) * V;
-            const int64_t room0 = rooms[r * P];
-            int64_t req = 0;
-            for (int64_t v = 0; v < V; v++)
-                if (iv[v] && ((room0 >> v) & 1))
-                    req |= (int64_t)1 << v;
-            int64_t ch = -1, ifw = 0;
-            if (req) {
-                ch = rr_pick(req, rr_ptr[sc + r], V);
-                ifw = (ch << VC_SHIFT) | inj_word[(sc + r) * V + ch];
-            }
-            choice[sc + r] = ch;
-            fwd_in[(sc + r) * P] = ifw; /* local port: the stimuli word */
-
-            const int64_t ne = neq[r];
-            if (!ne) { /* nothing queued: no grants on any port */
-                for (int64_t p = 0; p < P; p++) {
-                    fwd_out[r * P + p] = 0;
-                    gq[(sc + r) * P + p] = -1;
-                    gvc[(sc + r) * P + p] = 0;
-                }
-                continue;
-            }
-            const int64_t *al = alloc + (sc + r) * NQ;
-            for (int64_t p = 0; p < P; p++) {
-                int64_t room_in;
-                if (p == 0)
-                    room_in = SINK; /* the local sink always has room */
-                else if (nb_ok[r * P + p])
-                    room_in = rooms[nb_idx[r * P + p] * P + opp[p]];
-                else
-                    room_in = 0;
-                int64_t preq = 0;
-                for (int64_t v = 0; v < V; v++) {
-                    const int64_t q = al[p * V + v];
-                    if (q >= 0 && ((room_in >> v) & 1) && ((ne >> q) & 1))
-                        preq |= (int64_t)1 << q;
-                }
-                int64_t out = 0, gqv = -1, gv = 0;
-                if (preq) {
-                    gqv = rr_pick(preq, arb_ptr[(sc + r) * P + p], NQ);
-                    while (gv < V && al[p * V + gv] != gqv)
-                        gv++;
-                    out = (gv << VC_SHIFT)
-                        | mem[((sc + r) * NQ + gqv) * DMAX
-                              + rd[(sc + r) * NQ + gqv]];
-                }
-                fwd_out[r * P + p] = out;
-                gq[(sc + r) * P + p] = gqv;
-                gvc[(sc + r) * P + p] = gv;
-            }
-        }
-        /* forward-wire gather (needs every fwd_out of the lane) */
-        for (int64_t r = 0; r < R; r++) {
-            for (int64_t p = 1; p < P; p++)
-                fwd_in[(sc + r) * P + p] =
-                    nb_ok[r * P + p]
-                        ? fwd_out[nb_idx[r * P + p] * P + opp[p]]
-                        : 0;
-            ej_in[sc + r] = fwd_out[r * P]; /* local output = ejection */
-        }
-        /* sweep 3 decisions: rotating-priority output-VC allocation,
-         * observing only pre-update state */
-        for (int64_t r = 0; r < R; r++) {
-            /* unallocated non-empty queues are the only possible heads */
-            uint64_t scan = (uint64_t)(neq[r] & ~qam[r]);
-            if (!scan) {
-                dec_n[sc + r] = 0;
-                continue;
-            }
-            const int64_t *al = alloc + (sc + r) * NQ;
-            const int64_t *rdv = rd + (sc + r) * NQ;
-            int64_t cand_op[NQ], cand_gt[NQ], cand_iv[NQ];
-            uint64_t candmask = 0;
-            /* candidate decode + validation in ascending queue order */
-            while (scan) {
-                const int64_t q = (int64_t)__builtin_ctzll(scan);
-                scan &= scan - 1;
-                const int64_t headw =
-                    mem[((sc + r) * NQ + q) * DMAX + rdv[q]];
-                if (((headw >> DW) & 3) != HEAD_T)
-                    continue;
-                const int64_t data = headw & PAYLOAD_MASK;
-                const int64_t in_vc = q % V;
-                const int64_t op = route[r * 256 + (data & 0xFF)];
-                if (op < 0) {
-                    if (!route_err) {
-                        route_err = 1;
-                        route_data = data;
-                    }
-                    continue;
-                }
-                if (((data >> 8) & 1) && !((GT_MASK >> in_vc) & 1)) {
-                    if (!gt_err) {
-                        gt_err = 1;
-                        gt_r = r;
-                        gt_vc = in_vc;
-                    }
-                    continue;
-                }
-                candmask |= (uint64_t)1 << q;
-                cand_op[q] = op;
-                cand_gt[q] = (data >> 8) & 1;
-                cand_iv[q] = in_vc;
-            }
-            int64_t claimed = 0, last = -1, nd = 0;
-            if (candmask) {
-                /* rotate the candidate mask so the scan starts one past
-                 * the rotating-priority pointer, then walk set bits —
-                 * identical visit order to the off = 1..NQ modular scan. */
-                int64_t s = alloc_ptr[sc + r] + 1;
-                if (s >= NQ)
-                    s -= NQ;
-                if (s < 0)
-                    s += NQ;
-                uint64_t rot = s ? ((candmask >> s) | (candmask << (NQ - s)))
-                                     & (((uint64_t)1 << NQ) - 1)
-                               : candmask;
-                while (rot) {
-                    const int64_t bit = (int64_t)__builtin_ctzll(rot);
-                    rot &= rot - 1;
-                    int64_t q = bit + s;
-                    if (q >= NQ)
-                        q -= NQ;
-                    const int64_t op = cand_op[q];
-                    int64_t won = -1;
-                    if (cand_gt[q]) { /* GT traffic keeps its VC */
-                        const int64_t o = op * V + cand_iv[q];
-                        if (al[o] < 0 && !((claimed >> o) & 1))
-                            won = o;
-                    } else {
-                        const int64_t *cg =
-                            be_cand
-                            + (((r * P + q / V) * V + cand_iv[q]) * P + op)
-                                  * V;
-                        for (int64_t i = 0; i < V; i++) {
-                            const int64_t v = cg[i];
-                            if (v < 0)
-                                continue;
-                            const int64_t o = op * V + v;
-                            if (al[o] < 0 && !((claimed >> o) & 1)) {
-                                won = o;
-                                break;
-                            }
-                        }
-                    }
-                    if (won >= 0) {
-                        dec_q[(sc + r) * NQ + nd] = q;
-                        dec_ovc[(sc + r) * NQ + nd] = won;
-                        nd++;
-                        claimed |= (int64_t)1 << won;
-                        last = q;
-                    }
-                }
-            }
-            dec_n[sc + r] = nd;
-            last_alloc[sc + r] = last;
-        }
-    }
-    if (route_err) {
-        err[0] = 1;
-        err[1] = route_data;
-        counts[0] = counts[1] = 0;
-        return 1;
-    }
-    if (gt_err) {
-        err[0] = 2;
-        err[1] = gt_r;
-        err[2] = gt_vc;
-        counts[0] = counts[1] = 0;
-        return 2;
-    }
-
-    /* ---- pass 2: commit (pops, pushes, allocation, stimuli) ---- */
-    for (int64_t b = 0; b < B; b++) {
-        const int64_t sc = b * R;
-        for (int64_t r = 0; r < R; r++) {
-            const int64_t dep = depth[r];
-            int64_t *al = alloc + (sc + r) * NQ;
-            int64_t *qa = queue_alloc + (sc + r) * NQ;
-            int64_t *cnt = count + (sc + r) * NQ;
-            int64_t *rdv = rd + (sc + r) * NQ;
-            int64_t *wrv = wr + (sc + r) * NQ;
-            /* pops: granted queues emit their head */
-            for (int64_t p = 0; p < P; p++) {
-                const int64_t q = gq[(sc + r) * P + p];
-                if (q < 0)
-                    continue;
-                const int64_t word =
-                    mem[((sc + r) * NQ + q) * DMAX + rdv[q]];
-                rdv[q] = rdv[q] + 1 == dep ? 0 : rdv[q] + 1;
-                cnt[q] -= 1;
-                arb_ptr[(sc + r) * P + p] = q;
-                if (((word >> DW) & 3) == TAIL_T) {
-                    al[p * V + gvc[(sc + r) * P + p]] = -1;
-                    qa[q] = -1;
-                }
-            }
-            /* pushes: overflow-check every arrival, then commit */
-            for (int64_t p = 0; p < P; p++) {
-                const int64_t word = fwd_in[(sc + r) * P + p];
-                if (((word >> DW) & 3) == IDLE_T)
-                    continue;
-                if (cnt[p * V + (word >> VC_SHIFT)] >= dep) {
-                    err[0] = 3;
-                    counts[0] = counts[1] = 0;
-                    return 3;
-                }
-            }
-            for (int64_t p = 0; p < P; p++) {
-                const int64_t word = fwd_in[(sc + r) * P + p];
-                if (((word >> DW) & 3) == IDLE_T)
-                    continue;
-                const int64_t q = p * V + (word >> VC_SHIFT);
-                mem[((sc + r) * NQ + q) * DMAX + wrv[q]] = word & FLIT_MASK;
-                wrv[q] = wrv[q] + 1 == dep ? 0 : wrv[q] + 1;
-                cnt[q] += 1;
-            }
-            /* apply the allocation decisions (old-state scan results) */
-            const int64_t nd = dec_n[sc + r];
-            for (int64_t i = 0; i < nd; i++) {
-                const int64_t q = dec_q[(sc + r) * NQ + i];
-                const int64_t o = dec_ovc[(sc + r) * NQ + i];
-                al[o] = q;
-                qa[q] = o;
-            }
-            if (nd > 0)
-                alloc_ptr[sc + r] = last_alloc[sc + r];
-            /* stimuli interface update + event extraction */
-            const int64_t ch = choice[sc + r];
-            for (int64_t v = 0; v < V; v++) {
-                const int64_t i = (sc + r) * V + v;
-                if (!inj_valid[i])
-                    continue;
-                if (v == ch) {
-                    sent_lane[n_sent] = b;
-                    sent_r[n_sent] = r;
-                    sent_vc[n_sent] = v;
-                    sent_word[n_sent] = inj_word[i];
-                    sent_delay[n_sent] = delay[i];
-                    n_sent++;
-                    inj_valid[i] = 0;
-                    delay[i] = 0;
-                } else {
-                    delay[i] = (delay[i] + 1) & 0xFFFFF;
-                }
-            }
-            if (ch >= 0)
-                rr_ptr[sc + r] = ch;
-            const int64_t ej = ej_in[sc + r];
-            if (((ej >> DW) & 3) != 0) {
-                ej_lane[n_ej] = b;
-                ej_r[n_ej] = r;
-                ej_word[n_ej] = ej;
-                n_ej++;
-                eject_word[sc + r] = ej;
-                eject_valid[sc + r] = 1;
-            } else {
-                eject_valid[sc + r] = 0;
-            }
-        }
-    }
-    counts[0] = n_sent;
-    counts[1] = n_ej;
-    return 0;
-}
-"""
-)
 
 
 @dataclass(frozen=True)
@@ -450,30 +70,6 @@ class KernelSpec:
     @property
     def sink(self) -> int:
         return (1 << self.n_vcs) - 1
-
-
-def generate_source(spec: KernelSpec) -> str:
-    """The specialized C translation unit for ``spec``."""
-    return _TEMPLATE.substitute(
-        spec=" ".join(
-            f"{k}={v}" for k, v in sorted(vars(spec).items())
-        ),
-        P=spec.n_ports,
-        V=spec.n_vcs,
-        NQ=spec.n_queues,
-        DMAX=spec.depth_max,
-        DW=spec.data_width,
-        VC_SHIFT=spec.vc_shift,
-        SINK=spec.sink,
-        HEAD_T=1,
-        TAIL_T=3,
-        IDLE_T=0,
-        GT_MASK=spec.gt_mask,
-        PAYLOAD_MASK=(1 << spec.data_width) - 1,
-        FLIT_MASK=(1 << spec.vc_shift) - 1,
-        VMASK=(1 << spec.n_vcs) - 1,
-        signature=SIGNATURE.strip(),
-    )
 
 
 def _find_compiler() -> Optional[str]:
@@ -521,11 +117,6 @@ def _ffi_for(cdef: str):
     return ffi
 
 
-def _ffi():
-    """The cffi instance whose cdef matches :data:`SIGNATURE`."""
-    return _ffi_for(SIGNATURE.strip() + ";")
-
-
 def _build(source: str, so_path: str, cc: str) -> None:
     """Compile ``source`` into ``so_path`` (atomic against racers)."""
     directory = os.path.dirname(so_path)
@@ -557,8 +148,8 @@ _LIB_CACHE: Dict[str, object] = {}
 def load_source(source: str, cdef: str):
     """Compile, disk-cache and dlopen one generated C translation unit.
 
-    The shared entry point for every generated kernel (the batch step,
-    the traffic generator): availability-gated, hashed over compiler +
+    The shared entry point for every generated kernel (the levelized
+    batch kernel, the traffic generator): availability-gated, hashed over compiler +
     flags + source, atomic against concurrent builders.  Raises
     :class:`~repro.kernels.KernelUnavailableError` when the tier cannot
     run or the compile fails.
@@ -589,11 +180,3 @@ def load_source(source: str, cdef: str):
         lib = ffi.dlopen(so_path)
     _LIB_CACHE[key] = lib
     return lib
-
-
-def load(spec: KernelSpec):
-    """The compiled batch-step library for ``spec`` (built/cached once).
-
-    Returns the dlopened cffi library exposing ``repro_step_batch``.
-    """
-    return load_source(generate_source(spec), SIGNATURE.strip() + ";")

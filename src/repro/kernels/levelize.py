@@ -10,9 +10,8 @@ paths included — broken at the registered state boundary), and
 is one past the deepest of its producers, so evaluating level 0, then
 level 1, then level 2 … visits every signal exactly once with all of its
 inputs already settled.  This is the classic levelized compiled-code
-simulation scheme (and the ``nx.topological_sort`` pattern of the myfpga
-simulator); :mod:`networkx` is used for the sort when installed, with a
-dependency-free Kahn fallback otherwise.
+simulation scheme (the ``nx.topological_sort`` pattern of the myfpga
+simulator), done with a dependency-free, deterministic Kahn scan.
 
 For this NoC the result is provably three levels deep:
 
@@ -62,12 +61,13 @@ class CyclicDependencyError(ValueError):
         )
 
 
-def _kahn_partial(nodes: Sequence[Node], edges: Sequence[Edge]):
-    """Deterministic Kahn scan: ``(order, remaining)``.
+def toposort(nodes: Sequence[Node], edges: Sequence[Edge]) -> List[Node]:
+    """Topological order of ``nodes`` under ``edges``.
 
-    Ready nodes are taken in input order (stable within a wave), so the
-    emitted order is reproducible across runs and matches the node list
-    the caller built — the property the generated sweep bodies rely on.
+    A deterministic Kahn scan: ready nodes are taken in input order
+    (stable within a wave), so the emitted order is reproducible across
+    runs and matches the node list the caller built.  Raises
+    :class:`CyclicDependencyError` naming the nodes left on cycles.
     """
     indegree: Dict[Node, int] = {node: 0 for node in nodes}
     successors: Dict[Node, List[Node]] = {node: [] for node in nodes}
@@ -88,36 +88,9 @@ def _kahn_partial(nodes: Sequence[Node], edges: Sequence[Edge]):
             if indegree[succ] == 0:
                 ready.append(succ)
     remaining = [node for node in nodes if indegree[node] > 0]
-    return order, remaining
-
-
-def _kahn(nodes: Sequence[Node], edges: Sequence[Edge]) -> List[Node]:
-    order, remaining = _kahn_partial(nodes, edges)
     if remaining:
         raise CyclicDependencyError(remaining)
     return order
-
-
-def toposort(nodes: Sequence[Node], edges: Sequence[Edge]) -> List[Node]:
-    """Topological order of ``nodes`` under ``edges``.
-
-    Uses :func:`networkx.topological_sort` when networkx is importable
-    (the SNIPPETS levelized-simulator idiom), else a deterministic Kahn
-    scan that preserves the input node order among ready nodes.  Raises
-    :class:`CyclicDependencyError` on a cycle either way.
-    """
-    try:
-        import networkx as nx  # type: ignore
-    except Exception:
-        return _kahn(nodes, edges)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    try:
-        return list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
-        _order, remaining = _kahn_partial(nodes, edges)
-        raise CyclicDependencyError(remaining) from None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ module moves exactly that scan into one C call per cycle:
   hit list (sequence numbers, payloads and tags are per-lane state).
 
 The kernel is built, cached and loaded through the same pipeline as the
-batch-step kernel (:func:`repro.kernels.cbackend.load_source`), so it
+levelized batch kernel (:func:`repro.kernels.cbackend.load_source`), so it
 shares the compiler probe, the content-hashed disk cache and the
 availability gating.  When no C tier is available the caller falls back
 to per-lane pure-Python generators, bit-identical by construction.
@@ -132,7 +132,7 @@ def traffic_ffi():
 def load_traffic_kernel():
     """The dlopened traffic kernel, or ``None`` when no C tier exists.
 
-    Unlike the batch-step kernel this loader never raises: batched
+    Unlike the batch kernel this loader never raises: batched
     traffic is an internal optimisation with a bit-identical Python
     fallback, so unavailability is not an error the caller must see.
     """

@@ -12,6 +12,7 @@ study, together with the network fabric around it:
 * :mod:`repro.noc.router` — the reference functional router model,
 * :mod:`repro.noc.layout` — the Table-1 state-word bit layout,
 * :mod:`repro.noc.network` — the golden network-level cycle semantics,
+* :mod:`repro.noc.eventlog` — columnar injection/ejection logs,
 * :mod:`repro.noc.reservation` — GT virtual-channel reservation,
 * :mod:`repro.noc.rtl_router` — the structural RTL description.
 """

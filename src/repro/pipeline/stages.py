@@ -35,6 +35,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines.base import lane_views
 from repro.noc.config import NetworkConfig
+from repro.noc.eventlog import EventLog, event_rows
 from repro.pipeline.chunks import (
     LoadedChunk,
     ResultChunk,
@@ -243,6 +244,13 @@ class SimulateStage:
         )
 
 
+def _copy_out(log, lo: int, hi: int):
+    """Events ``[lo, hi)`` of a lane log: columns stay columns."""
+    if isinstance(log, EventLog):
+        return log.slice(lo, hi)
+    return log[lo:hi]
+
+
 class RetrieveStage:
     """Step 4: copy the window's log records out of the engine.
 
@@ -261,10 +269,8 @@ class RetrieveStage:
     def process(self, chunk: ResultChunk) -> RetrievedChunk:
         injections, ejections = [], []
         for lane, view in enumerate(self.views):
-            lo, hi = chunk.inj_bounds[lane]
-            inj = view.injections[lo:hi]
-            lo, hi = chunk.ej_bounds[lane]
-            ej = view.ejections[lo:hi]
+            inj = _copy_out(view.injections, *chunk.inj_bounds[lane])
+            ej = _copy_out(view.ejections, *chunk.ej_bounds[lane])
             self.records += len(inj) + len(ej)
             injections.append(inj)
             ejections.append(ej)
@@ -318,10 +324,8 @@ class AnalyzeStage:
             self.inj_counts[lane] += len(chunk.injections[lane])
             self.ej_counts[lane] += len(chunk.ejections[lane])
             router_counts = self.eject_router_counts[lane]
-            for record in chunk.ejections[lane]:
-                router_counts[record.router] = (
-                    router_counts.get(record.router, 0) + 1
-                )
+            for _cycle, router, _vc, _word in event_rows(chunk.ejections[lane]):
+                router_counts[router] = router_counts.get(router, 0) + 1
             seen = self._samples_seen[lane]
             fresh = tracker.samples[seen:]
             if fresh:

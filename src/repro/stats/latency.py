@@ -19,6 +19,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.noc.config import NetworkConfig, RouterConfig
+from repro.noc.eventlog import event_rows
 from repro.noc.flit import FlitType
 from repro.noc.packet import Packet, PacketClass, ProtocolError, flits_per_packet
 from repro.noc.topology import Topology
@@ -99,18 +100,36 @@ class PacketLatencyTracker:
         key = (record.packet.src, record.packet.seq)
         self._pending.setdefault(key, deque()).append(record)
 
+    def retract_submits(self, records, keys_before: int) -> None:
+        """Undo :meth:`note_submit` for ``records``, the newest submits,
+        and forget the keys first seen after ``keys_before`` keys — the
+        tracker half of :meth:`~repro.traffic.stimuli.TrafficDriver.rewind`."""
+        pending = self._pending
+        for record in reversed(records):
+            pending[(record.packet.src, record.packet.seq)].pop()
+        for key in list(pending)[keys_before:]:
+            del pending[key]
+
     def collect(self, engine) -> None:
-        """Process new injection/ejection records from the engine."""
+        """Process the engine's injection/ejection events not seen yet."""
         injections = engine.injections
         ejections = engine.ejections
-        self.collect_records(injections[self._inj_seen :], ejections[self._ej_seen :])
+        self.collect_rows(
+            event_rows(injections, self._inj_seen),
+            event_rows(ejections, self._ej_seen),
+        )
         self._inj_seen = len(injections)
         self._ej_seen = len(ejections)
 
     def collect_records(self, injections, ejections) -> None:
-        """Process explicit record slices — the streaming analyze stage's
-        entry point (:meth:`collect` is the cursor-keeping wrapper over
-        the engine's full logs).
+        """Process explicit log slices (record lists or
+        :class:`~repro.noc.eventlog.EventLog` slices) — the streaming
+        analyze stage's entry point; :meth:`collect` is the
+        cursor-keeping wrapper over the engine's full logs."""
+        self.collect_rows(event_rows(injections), event_rows(ejections))
+
+    def collect_rows(self, injections, ejections) -> None:
+        """Match ``(cycle, router, vc, flit_word)`` event rows.
 
         This is the analysis hot loop, so reassembly is done on the raw
         integer words — type tag and fields by shift/mask, no
@@ -122,32 +141,28 @@ class PacketLatencyTracker:
         data_width = self.net.router.data_width
         mask = (1 << data_width) - 1
         head_t, tail_t = int(FlitType.HEAD), int(FlitType.TAIL)
-        for record in injections:
-            if (record.flit_word >> data_width) & 3 == head_t:
-                self._head_inject.setdefault(
-                    (record.router, record.vc), deque()
-                ).append(record.cycle)
+        head_inject = self._head_inject
+        for cycle, router, vc, word in injections:
+            if (word >> data_width) & 3 == head_t:
+                head_inject.setdefault((router, vc), deque()).append(cycle)
 
         open_packets = self._open
         bytes_per_flit = data_width // 8
-        for record in ejections:
-            word = record.flit_word
+        for cycle, router, vc, word in ejections:
             ftype = (word >> data_width) & 3
             if ftype == 0:  # IDLE
                 continue
-            key = (record.router, record.vc)
+            key = (router, vc)
             if ftype == head_t:
                 if key in open_packets:
-                    raise ProtocolError(
-                        f"VC {record.vc}: HEAD while a packet is open"
-                    )
-                self._head_eject[key] = record.cycle
+                    raise ProtocolError(f"VC {vc}: HEAD while a packet is open")
+                self._head_eject[key] = cycle
                 open_packets[key] = [word & mask]
                 continue
             words = open_packets.get(key)
             if words is None:
                 raise ProtocolError(
-                    f"VC {record.vc}: {FlitType(ftype).name} without a HEAD"
+                    f"VC {vc}: {FlitType(ftype).name} without a HEAD"
                 )
             words.append(word & mask)
             if ftype != tail_t:
@@ -166,7 +181,7 @@ class PacketLatencyTracker:
                 tag=(header >> 9) & 0x7F,
                 seq=(source >> 8) & 0xFF,
             )
-            self._finish(packet, record.router, record.vc, record.cycle)
+            self._finish(packet, router, vc, cycle)
 
     @property
     def open_vcs(self) -> List[Tuple[int, int]]:

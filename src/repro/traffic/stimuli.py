@@ -24,6 +24,9 @@ from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
 class NetworkOverloadError(RuntimeError):
     """The network refused stimuli on a VC for longer than the limit."""
 
+    #: the batch lane whose driver gave up (``None`` outside lane batches)
+    lane: Optional[int] = None
+
 
 @dataclass(frozen=True)
 class StimuliEntry:
@@ -200,6 +203,59 @@ class TrafficDriver:
                 StimuliEntry(cycle, packet.src, vc, word, packet_key=key)
             )
             self.flits_generated += 1
+
+    def mark(self) -> Tuple:
+        """Everything :meth:`generate` changes, for :meth:`rewind`."""
+        be, gt, tracker = self.be, self.gt, self.tracker
+        return (
+            len(self.submits),
+            len(self.queues),
+            self.flits_generated,
+            list(self._be_vc_toggle),
+            None if be is None else (be.rng.state, be.rng.words_read, list(be._seq)),
+            None if gt is None else list(gt._seq),
+            None if tracker is None else len(tracker._pending),
+        )
+
+    def rewind(self, mark: Tuple, start: int, stop: int) -> None:
+        """Leave the driver as if it had generated only cycles before ``stop``.
+
+        ``mark`` was taken at cycle ``start``, and generation may have
+        run ahead of ``stop`` since (a fused chunk generates its whole
+        window before simulating it).  Queue entries stamped ``stop`` or
+        later are dropped; the generator, submit and tracker state is
+        restored from ``mark`` and cycles ``[start, stop)`` are
+        generated again.  Entries the engine has already consumed stay
+        consumed: every queue keeps exactly its surviving entries.
+        """
+        n_submits, n_keys, flits, toggle, be_state, gt_seq, n_pending = mark
+        kept = {}
+        for key, queue in self.queues.items():
+            while queue and queue[-1].cycle >= stop:
+                queue.pop()
+            kept[key] = queue
+        retracted = self.submits[n_submits:]
+        del self.submits[n_submits:]
+        if self.tracker is not None:
+            self.tracker.retract_submits(retracted, n_pending)
+        self.flits_generated = flits
+        self._be_vc_toggle = list(toggle)
+        if be_state is not None:
+            self.be.rng.state, self.be.rng.words_read, seq = be_state
+            self.be._seq = list(seq)
+        if gt_seq is not None:
+            self.gt._seq = list(gt_seq)
+        self.queues = {key: kept[key] for key in list(kept)[:n_keys]}
+        lengths = {key: len(queue) for key, queue in kept.items()}
+        for cycle in range(start, stop):
+            self.generate(cycle)
+        # Regeneration re-queued entries that are either still queued or
+        # already consumed; keep the queues' surviving entries instead.
+        for key in self.queues:
+            queue = kept[key]
+            while len(queue) > lengths[key]:
+                queue.pop()
+            self.queues[key] = queue
 
     # -- injection (simulation steps 2/3) --------------------------------------
     def pump(self) -> None:

@@ -5,9 +5,11 @@ The levelized chunk kernel (``repro.kernels.batchlevel``) replaces the
 per-cycle dynamic allocation sweep with one fused C walk of the static
 level schedule per cycle, whole chunks at a time — it is only allowed
 to be *faster*, never *different*.  Every test here pins some facet of
-that contract: lane-for-lane lockstep against the NumPy reference and
-the dynamic-sweep JIT, chunked-versus-per-cycle identity, per-lane
-fallback when a fault is resident, and exact overload diagnosis parity.
+that contract: lane-for-lane lockstep against the NumPy reference,
+chunked-versus-per-cycle identity, per-lane fallback when a fault is
+resident, exact overload diagnosis parity (driver and tracker state
+included), columnar event logs that stay small, and ``auto`` resolving
+to the fused kernel without importing networkx.
 
 Fast-forward (``run_batched(..., fast_forward=True)``) gets the safety
 battery the design doc promises: it never skips while a fault is
@@ -22,6 +24,10 @@ widths, tap masks and distances.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +41,7 @@ from repro.engines.batch import (
 from repro.experiments.common import fig1_gt_streams, fig1_network
 from repro.kernels import probe_backends
 from repro.noc import NetworkConfig, RouterConfig
+from repro.stats.latency import PacketLatencyTracker
 from repro.traffic.generators import (
     BernoulliBeTraffic,
     GtStreamTraffic,
@@ -42,6 +49,8 @@ from repro.traffic.generators import (
 )
 from repro.traffic.rng import HardwareLfsr, lfsr_jump
 from repro.traffic.stimuli import NetworkOverloadError, TrafficDriver
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 JIT_REASON = probe_backends()["cffi"]
 needs_jit = pytest.mark.skipif(
@@ -94,22 +103,15 @@ def full_digest(engine, drivers):
     return lanes, engine.cycle, list(engine.metrics.per_cycle)
 
 
-def arch_digest(engine, drivers):
-    """The architectural subset that must match even on a terminal
-    overload: the chunked path pre-generates its whole window, so driver
-    queue/RNG state legitimately runs ahead of the reference there."""
-    lanes = []
-    for i, driver in enumerate(drivers):
-        lanes.append(
-            (
-                engine.lane_snapshot(i),
-                [r.__dict__ for r in engine.lane_injections(i)],
-                [r.__dict__ for r in engine.lane_ejections(i)],
-                dict(driver._stall),
-                driver.overloaded,
-            )
-        )
-    return lanes, engine.cycle, list(engine.metrics.per_cycle)
+def tracker_digest(tracker):
+    """A latency tracker's samples and every piece of matching state."""
+    return (
+        repr(tracker.samples),
+        {k: [repr(r) for r in q] for k, q in tracker._pending.items()},
+        {k: list(q) for k, q in tracker._head_inject.items()},
+        dict(tracker._head_eject),
+        dict(tracker._open),
+    )
 
 
 def run_case(
@@ -146,7 +148,7 @@ class TestLevelizedKernelSmoke:
     def test_backend_selected(self):
         engine = BatchEngine(torus(), lanes=2, kernel="levelized")
         assert engine.kernel == "levelized"
-        assert engine.schedule is not None
+        assert engine.kernel_reason is None
         assert hasattr(engine._compiled, "run_chunk")
 
     @needs_jit
@@ -155,21 +157,43 @@ class TestLevelizedKernelSmoke:
             "python", cycles=120, lanes=2
         )
 
+    @needs_jit
+    def test_auto_resolves_to_fused_kernel_without_networkx(self):
+        # A fresh interpreter: construction must bind the fused kernel
+        # through the fixed room/fwd/state schedule, never through a
+        # graph library.
+        code = (
+            "import sys\n"
+            "from repro.engines import BatchEngine\n"
+            "from repro.noc import NetworkConfig\n"
+            "engine = BatchEngine(NetworkConfig(3, 3, topology='torus'), lanes=2)\n"
+            "print(engine.kernel, engine.kernel_reason, 'networkx' in sys.modules)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNELS"}
+        env["PYTHONPATH"] = SRC
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["levelized", "None", "False"]
+
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="auto|python|levelized|jit"):
+        with pytest.raises(ValueError, match=r"auto\|python\|levelized"):
             BatchEngine(torus(), kernel="bogus")
-        with pytest.raises(ValueError, match="auto|python|levelized|jit"):
+        with pytest.raises(ValueError, match=r"auto\|python\|levelized"):
             make_engine("batch", torus(), kernel="bogus")
+        with pytest.raises(ValueError, match="jit"):
+            BatchEngine(torus(), kernel="jit")  # the retired tier
 
 
 class TestLevelizedLockstep:
     @needs_jit
     def test_matches_python_reference(self):
         assert run_case("levelized") == run_case("python")
-
-    @needs_jit
-    def test_matches_jit_dynamic_sweep(self):
-        assert run_case("levelized") == run_case("jit")
 
     @needs_jit
     def test_gt_plus_be_workload(self):
@@ -199,6 +223,7 @@ class TestLevelizedLockstep:
         monkeypatch.setenv("REPRO_KERNELS", "numpy")
         engine = BatchEngine(torus(), lanes=2, kernel="levelized")
         assert engine._compiled is None
+        assert engine.kernel == "python"
         assert engine.kernel_reason == "backend ladder selected numpy"
         drivers = make_drivers(engine, 0.05)
         run_batched(engine, drivers, 120)
@@ -212,16 +237,51 @@ class TestLevelizedLockstep:
         # Saturate a queue_depth-1 fabric until a driver diagnoses the
         # livelock.  The diagnostic string, cycle, architectural state,
         # events, metrics and stall counters must be byte-identical to
-        # the reference; queue/RNG state may run ahead (the chunked path
-        # generates its whole window before the fatal pump).
-        results = {}
-        for kernel in ("python", "levelized"):
-            engine = BatchEngine(torus(queue_depth=1), lanes=2, kernel=kernel)
-            drivers = make_drivers(engine, 0.8, stall_limit=20)
-            with pytest.raises(NetworkOverloadError) as err:
-                run_batched(engine, drivers, 2000)
-            results[kernel] = (str(err.value), arch_digest(engine, drivers))
-        assert results["levelized"] == results["python"]
+        # the reference — and so must every driver's queues, submits,
+        # RNG and tracker state, although the chunked path generates
+        # its whole window before the fatal pump.  Three shapes: BE-only
+        # traffic (the C generator hands the window over directly),
+        # GT+BE traffic with trackers (generated into the driver
+        # queues), each failing in the middle lane, mid-chunk, several
+        # chunks into the run — and BE-only traffic under a pre-step
+        # hook, which keeps the run per-cycle with the C generator
+        # producing every lane's cycle before the first pump.
+        cases = (
+            dict(load=0.6, seed=2),
+            dict(load=0.6, seed=2, gt_period=30, tracked=True),
+            dict(load=0.6, seed=2, hooked=True),
+        )
+        for case in cases:
+            results = {}
+            for kernel in ("python", "levelized"):
+                engine = BatchEngine(torus(queue_depth=1), lanes=3, kernel=kernel)
+                drivers = make_drivers(
+                    engine,
+                    case["load"],
+                    seed=case["seed"],
+                    gt_period=case.get("gt_period"),
+                    stall_limit=90,
+                )
+                if case.get("hooked"):
+                    engine.pre_step_hooks.append(lambda engine: None)
+                trackers = []
+                if case.get("tracked"):
+                    for driver in drivers:
+                        trackers.append(PacketLatencyTracker(engine.cfg))
+                        driver.attach_tracker(trackers[-1])
+                with pytest.raises(NetworkOverloadError) as err:
+                    run_batched(engine, drivers, 2000)
+                assert [d.overloaded for d in drivers] == [False, True, False]
+                for tracker, driver in zip(trackers, drivers):
+                    tracker.collect(driver.engine)
+                results[kernel] = (
+                    str(err.value),
+                    full_digest(engine, drivers),
+                    [d.overloaded for d in drivers],
+                    [d._be_vc_toggle for d in drivers],
+                    [tracker_digest(t) for t in trackers],
+                )
+            assert results["levelized"] == results["python"], case
 
 
 class PlannedFault:

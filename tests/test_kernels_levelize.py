@@ -256,4 +256,4 @@ class TestBackendLadder:
         assert engine.kernel == "python"
         assert engine.kernel_reason
         with pytest.raises(KernelUnavailableError):
-            BatchEngine(NetworkConfig(3, 3), lanes=2, kernel="jit")
+            BatchEngine(NetworkConfig(3, 3), lanes=2, kernel="levelized")

@@ -5,8 +5,9 @@ interpreted static schedule snapshot for snapshot — across random
 seeds, topologies, heterogeneous configs, and fault injections (both
 the permanent quarantine that forces the worklist fallback and the
 transient SEU the touch-stamp guard has to catch).  Likewise the batch
-engine's generated-C kernel must match the NumPy reference sweeps lane
-for lane.  The ``kernel_smoke``-marked class is the cheap CI subset.
+engine's generated-C kernel (the ``REPRO_KERNELS=jit`` tier: the fused
+levelized chunk kernel) must match the NumPy reference sweeps lane for
+lane.  The ``kernel_smoke``-marked class is the cheap CI subset.
 """
 
 import random
@@ -103,7 +104,7 @@ def trio(cfg):
 @pytest.mark.kernel_smoke
 class TestKernelSmoke:
     """The tiny always-on CI subset: one levelized lockstep point and
-    one jit-vs-python batch point (when a compiler exists)."""
+    one compiled-vs-python batch point (when a compiler exists)."""
 
     def test_levelized_lockstep_tiny(self):
         cfg = torus()
@@ -116,7 +117,7 @@ class TestKernelSmoke:
         cfg = torus()
         pair = {
             kernel: BatchEngine(cfg, lanes=2, kernel=kernel)
-            for kernel in ("python", "jit")
+            for kernel in ("python", "levelized")
         }
         for kernel, engine in pair.items():
             drivers = [
@@ -132,15 +133,15 @@ class TestKernelSmoke:
             assert engine.kernel == kernel
         for lane in range(2):
             assert (
-                pair["jit"].lane_snapshot(lane)
+                pair["levelized"].lane_snapshot(lane)
                 == pair["python"].lane_snapshot(lane)
             )
             assert (
-                pair["jit"].lane_injections(lane)
+                pair["levelized"].lane_injections(lane)
                 == pair["python"].lane_injections(lane)
             )
             assert (
-                pair["jit"].lane_ejections(lane)
+                pair["levelized"].lane_ejections(lane)
                 == pair["python"].lane_ejections(lane)
             )
 
@@ -233,11 +234,11 @@ class TestLevelizedLockstep:
 @needs_jit
 class TestBatchJitLockstep:
     def run_pair(self, cfg, lanes, cycles, seed0=100, mid=None):
-        """Run jit and python engines on identical per-lane streams,
-        optionally applying ``mid(engine)`` halfway, and assert lane-
-        for-lane identity of snapshots and logs."""
+        """Run the compiled (levelized) and python engines on identical
+        per-lane streams, optionally applying ``mid(engine)`` halfway,
+        and assert lane-for-lane identity of snapshots and logs."""
         pair = {}
-        for kernel in ("python", "jit"):
+        for kernel in ("python", "levelized"):
             engine = BatchEngine(cfg, lanes=lanes, kernel=kernel)
             drivers = [
                 TrafficDriver(
@@ -256,15 +257,15 @@ class TestBatchJitLockstep:
             pair[kernel] = engine
         for lane in range(lanes):
             assert (
-                pair["jit"].lane_snapshot(lane)
+                pair["levelized"].lane_snapshot(lane)
                 == pair["python"].lane_snapshot(lane)
             ), f"lane {lane} diverged"
             assert (
-                pair["jit"].lane_injections(lane)
+                pair["levelized"].lane_injections(lane)
                 == pair["python"].lane_injections(lane)
             )
             assert (
-                pair["jit"].lane_ejections(lane)
+                pair["levelized"].lane_ejections(lane)
                 == pair["python"].lane_ejections(lane)
             )
         return pair
@@ -286,7 +287,7 @@ class TestBatchJitLockstep:
             cycles=120,
             mid=lambda e: e.quarantine_link(5, 1),
         )
-        assert (5, 1) in pair["jit"].quarantined_links
+        assert (5, 1) in pair["levelized"].quarantined_links
 
 
 class TestEnvFallback:
